@@ -99,6 +99,12 @@ def _init_ray(num_cpus: int) -> None:
     # 159-166k -> 277k turns/s when the floor stopped starving its map
     # slots. With floor 1 the reservation is a uniform 25% at every
     # width, so cross-width efficiency pairs compare like with like.
+    # Aggregator MEMORY is sized per plan by partition_by_conv: Ray
+    # reserves about (NUM_PARTITIONS + aggs) x target_max_block_size,
+    # 16 GiB at the default 128 MiB, which a small node cannot grant,
+    # so fit_exchange lowers the plan's block size until the request
+    # fits a quarter of cluster memory (or raises if even 1 MiB
+    # does not fit).
     ctx = DataContext.get_current()
     aggs = max(1, num_cpus // 4)
     ctx.max_hash_shuffle_aggregators = aggs

@@ -8,8 +8,8 @@ here — the driver owns the session (see __ray_entry__.py contract).
 from __future__ import annotations
 
 
-def ensure_hash_shuffle() -> None:
-    """Switch the current DataContext to hash shuffling.
+def ensure_hash_shuffle(ctx=None) -> None:
+    """Switch ``ctx`` (default: the current DataContext) to hash shuffling.
 
     Key-based ``repartition(keys=...)`` (the engine's one big shuffle —
     conv_id co-partitioning, SURVEY.md §4.3.1) is only supported under
@@ -19,7 +19,7 @@ def ensure_hash_shuffle() -> None:
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
-    ctx = DataContext.get_current()
+    ctx = ctx if ctx is not None else DataContext.get_current()
     if ctx.shuffle_strategy != ShuffleStrategy.HASH_SHUFFLE:
         ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     # Aggregator actors default to 0.0625 CPU/partition => a 16-way
@@ -31,6 +31,132 @@ def ensure_hash_shuffle() -> None:
     # sets the uniform scaling policy itself).
     if ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override is None:
         ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.01
+
+
+# Share of cluster memory ONE keyed exchange's aggregators may reserve.
+# Every exchange of a plan starts its aggregators when the plan starts
+# and holds their reservation until it ends, so the exchanges of one
+# plan reserve together. The engine's plans chain up to four keyed
+# exchanges (the near-dup pair pipelines chain two in one plan; see
+# ensure_hash_shuffle's CPU note), so each exchange gets a quarter and
+# four of them still fit side by side.
+EXCHANGE_MEMORY_SHARE = 0.25
+# Smallest per-partition size estimate the exchange sizing will use.
+# Below it the plan's read/map blocks would shrink to a size where
+# per-block overhead dominates; an exchange that needs less is refused.
+MIN_EXCHANGE_BLOCK_SIZE = 1 << 20
+_GiB = 1 << 30
+
+
+def aggregator_memory(
+    num_partitions: int, num_aggregators: int, block_size: int
+) -> int:
+    """Memory Ray 2.49 reserves for ALL aggregators of one hash
+    exchange given no partition-size hint: each aggregator asks for
+    ``ceil(P·B/A) + B``, where ``B`` (the plan's
+    ``target_max_block_size``) stands in for one partition's size
+    (``HashShuffleOperator._estimate_aggregator_memory_allocation``)."""
+    import math
+
+    per_agg = math.ceil(num_partitions * block_size / num_aggregators) + block_size
+    return num_aggregators * per_agg
+
+
+def exchange_block_size(
+    *,
+    num_partitions: int,
+    num_aggregators: int,
+    cpus_per_partition: float,
+    block_size: int | None,
+    cluster_memory: float,
+    cluster_cpus: float,
+) -> int | None:
+    """Largest block-size estimate ``<= block_size`` whose aggregator
+    memory request fits ``EXCHANGE_MEMORY_SHARE`` of ``cluster_memory``.
+
+    Pure function of the numbers Ray sizes an exchange from. Returns
+    ``block_size`` unchanged when the request already fits (``None``
+    stays ``None``: Ray then reserves no memory). Raises ``ValueError``
+    — instead of Ray's warn-and-wait, where an aggregator that can
+    never be scheduled stalls the plan forever — when the aggregators'
+    CPU (``A · cpus_per_partition · ceil(P/A)``) exceeds
+    ``cluster_cpus``, or when not even ``MIN_EXCHANGE_BLOCK_SIZE`` bytes
+    per partition fits the memory share."""
+    import math
+
+    P, A = num_partitions, num_aggregators
+    agg_cpus = A * cpus_per_partition * math.ceil(P / A)
+    budget = int(EXCHANGE_MEMORY_SHARE * cluster_memory)
+
+    def refuse(what: str, mem_req: int) -> ValueError:
+        return ValueError(
+            f"hash exchange of {P} partitions over {A} aggregators cannot "
+            f"run on this cluster ({what}): its aggregators request "
+            f"{mem_req / _GiB:.2f} GiB memory and {agg_cpus:g} CPU; the "
+            f"cluster has {cluster_memory / _GiB:.2f} GiB memory (one "
+            f"exchange may take {EXCHANGE_MEMORY_SHARE:.0%}: "
+            f"{budget / _GiB:.2f} GiB) and {cluster_cpus:g} CPU. Lower "
+            f"num_partitions or "
+            f"DataContext.max_hash_shuffle_aggregators."
+        )
+
+    if agg_cpus > cluster_cpus:
+        mem_req = aggregator_memory(P, A, block_size) if block_size else 0
+        raise refuse("not enough CPU", mem_req)
+    if block_size is None or aggregator_memory(P, A, block_size) <= budget:
+        return block_size
+    # A·ceil(P·B/A) <= P·B + A - 1, so (P + A)·B + A - 1 <= budget fits
+    fit = (budget - A + 1) // (P + A)
+    if fit < MIN_EXCHANGE_BLOCK_SIZE:
+        raise refuse(
+            f"not enough memory even at {MIN_EXCHANGE_BLOCK_SIZE} B "
+            f"per partition",
+            aggregator_memory(P, A, MIN_EXCHANGE_BLOCK_SIZE),
+        )
+    return fit
+
+
+def fit_exchange(ctx, num_partitions: int) -> None:
+    """Size one ``num_partitions``-way hash exchange planned under
+    ``ctx`` (a Dataset's ``DataContext``, already switched by
+    ``ensure_hash_shuffle(ctx)``) to the live cluster.
+
+    Ray's repartition planner passes no partition-size hint, so Ray
+    reserves aggregator memory by partition COUNT, never data size: at
+    128 partitions and the default 128 MiB block size that is 16 GiB,
+    even for a 205-row input. A request the cluster cannot grant is
+    only logged, and the exchange then waits forever for aggregators
+    that never start. So lower ``ctx.target_max_block_size`` — Ray's
+    per-partition estimate — until the request fits
+    ``EXCHANGE_MEMORY_SHARE`` of ``ray.cluster_resources()["memory"]``,
+    or raise ``ValueError`` (see ``exchange_block_size``).
+
+    One context serves the whole plan, so the lowered size also caps
+    that plan's read and map output blocks; the exchange's own output
+    is never re-split, so every partition still arrives as one block.
+    The size is only ever lowered, so every exchange of a plan is
+    sized against the smallest estimate any of them needed. Without a
+    Ray session there is nothing to size against and ``ctx`` is left
+    as is."""
+    import ray
+
+    if not ray.is_initialized():
+        return
+    res = ray.cluster_resources()
+    num_aggregators = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    ctx.target_max_block_size = exchange_block_size(
+        num_partitions=num_partitions,
+        num_aggregators=num_aggregators,
+        cpus_per_partition=(
+            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
+        ),
+        block_size=ctx.target_max_block_size,
+        cluster_memory=res.get("memory", 0),
+        cluster_cpus=res.get("CPU", 0),
+    )
 
 
 def tune_context(
@@ -81,7 +207,12 @@ def tune_context(
         # aggregators (every other width reserves a quarter) and the
         # 4-CPU flagship run jumped 159-166k -> 277k turns/s with the
         # floor removed — a single 1-CPU aggregator mailbox keeps up
-        # with 3 map slots' worth of exchange traffic.
+        # with 3 map slots' worth of exchange traffic. Their MEMORY
+        # request is not set here: Ray sizes it from the partition count
+        # and the plan's target_max_block_size, and partition_by_conv
+        # (fit_exchange) lowers that plan's block size until the request
+        # fits EXCHANGE_MEMORY_SHARE of cluster memory — so a block size
+        # set below may end up smaller in a plan with a wide exchange.
         cpus = int(ray.cluster_resources().get("CPU", 8))
         ctx.max_hash_shuffle_aggregators = max(1, cpus // 4)
     if target_max_block_size is not None:

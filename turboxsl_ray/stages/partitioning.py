@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from turboxsl_ray.context import ensure_hash_shuffle
+from turboxsl_ray.context import ensure_hash_shuffle, fit_exchange
 
 SORT_KEYS = [("conv_id", "ascending"), ("ts", "ascending"), ("turn_idx", "ascending")]
 
@@ -32,16 +32,23 @@ def partition_by_conv(
     This is the engine's ONE all-to-all exchange (SURVEY.md §4.3.1);
     everything downstream is partition-local. ``keys`` defaults to
     ``["conv_id"]``; salted pipelines pass ``["conv_id", "salt"]``.
-    """
-    ensure_hash_shuffle()
-    # Datasets snapshot the DataContext at creation; flip the captured
-    # copy too so pipelines built before ensure_hash_shuffle still work.
-    try:
-        from ray.data.context import ShuffleStrategy
 
-        ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    except AttributeError:
-        pass
+    Ray reserves aggregator memory by partition count (about
+    ``(P + A) × target_max_block_size`` for ``A`` aggregators), not by
+    data size, and waits forever when the cluster cannot grant it. So
+    ``fit_exchange`` sizes the request before planning: it lowers the
+    plan's ``target_max_block_size`` (which also caps that plan's
+    read/map blocks) until the request fits a quarter of cluster
+    memory, and raises ``ValueError`` naming requested and available
+    memory and CPU when no size down to 1 MiB fits or the aggregators
+    need more CPU than the cluster has.
+    """
+    # Datasets snapshot the DataContext at creation; apply the hash
+    # shuffle settings to the captured copy too so pipelines built
+    # before ensure_hash_shuffle still work.
+    ensure_hash_shuffle()
+    ensure_hash_shuffle(ds.context)
+    fit_exchange(ds.context, num_partitions)
     return ds.repartition(num_blocks=num_partitions, keys=keys or ["conv_id"])
 
 
